@@ -26,8 +26,7 @@ Result<GossipTrustResult> AggregateGossipTrust(const Graph& graph,
 
   GossipTrustResult out;
   out.estimates = std::move(run.estimates);
-  out.stats = {run.steps, run.converged, run.gossip_messages,
-               run.control_messages, run.mean_messages_per_active_node_step};
+  out.stats = static_cast<const GossipRunStats&>(run);
   out.global.assign(num, 0.0);
   for (uint32_t j = 0; j < num; ++j) {
     double acc = 0.0;

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <numeric>
-#include <utility>
 
 #include "common/thread_pool.h"
 #include "gossip/step_plan.h"
@@ -20,7 +18,6 @@ struct NodeState {
   double g = 0.0;
   double prev_ratio = 0.0;
   uint32_t streak = 0;
-  uint32_t senders = 0;
   uint8_t alive = 0;
   uint8_t converged = 0;
   uint8_t stopped = 0;
@@ -76,26 +73,6 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     return node[i].g != 0.0 ? node[i].y / node[i].g : gossip_.ratio_sentinel;
   };
   for (NodeId u = 0; u < n0; ++u) node[u].prev_ratio = ratio_of(u);
-
-  auto push_count = [&](NodeId u) -> uint32_t {
-    if (gossip_.strategy != PushStrategy::kDifferential) return 1;
-    if (adj[u].empty()) return 1;
-    uint64_t sum = 0;
-    for (NodeId v : adj[u]) sum += adj[v].size();
-    double avg = static_cast<double>(sum) / adj[u].size();
-    if (avg <= 0.0) return 1;
-    double r = static_cast<double>(adj[u].size()) / avg;
-    if (r < 1.0) return 1;
-    switch (gossip_.k_rounding) {
-      case KRounding::kFloor:
-        return static_cast<uint32_t>(std::floor(r));
-      case KRounding::kCeil:
-        return static_cast<uint32_t>(std::ceil(r));
-      case KRounding::kRound:
-        break;
-    }
-    return static_cast<uint32_t>(std::lround(r));
-  };
 
   auto depart = [&](NodeId u) {
     // Handover: the leaving node passes its gossip pair to a live
@@ -188,13 +165,11 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     }
   };
 
-  // Two-phase step state (see step_plan.h; the churn engine keeps its own
-  // planner because membership and adjacency are dynamic).
-  std::vector<std::vector<PlanEntry>> inbox;
-  std::vector<uint32_t> k_used;
+  // Two-phase step state (see step_plan.h).
+  StepPlan plan;
+  std::vector<uint8_t> inactive;
   std::vector<double> in_y, in_g;
   std::vector<uint32_t> push_counts;
-  std::vector<NodeId> targets;
   uint32_t step = 0;
   uint32_t live_unstopped = n0;
 
@@ -229,74 +204,33 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     // k_i over the current overlay: no randomness involved, so it
     // precomputes sharded (reads adjacency only).
     push_counts.assign(n, 1);
+    inactive.assign(n, 0);
     pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         const NodeState& s = node[i];
-        if (!s.alive || s.stopped || adj[i].empty()) continue;
-        push_counts[i] = push_count(static_cast<NodeId>(i));
+        inactive[i] = !s.alive || s.stopped;
+        if (inactive[i] || adj[i].empty() ||
+            gossip_.strategy != PushStrategy::kDifferential) {
+          continue;
+        }
+        push_counts[i] = DifferentialPushCount(adj, static_cast<NodeId>(i),
+                                               gossip_.k_rounding);
       }
     });
 
     // Phase A: draw pushes and bin deliveries per receiver, ascending-
-    // sender order (see step_plan.h). A push bounces back to the sender
-    // when the target has stopped or departed, or the packet is lost.
-    inbox.resize(n);
-    for (auto& box : inbox) box.clear();
-    k_used.assign(n, 0);
-    for (auto& s : node) s.senders = 0;
-    // The shared DrawNodePushes helper (step_plan.h) keeps the RNG
-    // consumption order uniform across engines; only the bounce
-    // predicate differs (dynamic membership: stopped OR departed).
-    auto bounces = [&](NodeId t) {
-      return node[t].stopped || !node[t].alive;
-    };
-    if (gossip_.rng_mode == GossipRngMode::kSequential) {
-      for (NodeId i = 0; i < n; ++i) {
-        const NodeState& s = node[i];
-        if (!s.alive || s.stopped || adj[i].empty()) continue;
-        k_used[i] = DrawNodePushes(
-            adj[i], push_counts[i], gossip_.packet_loss_prob, i, rng,
-            targets, bounces,
-            [&](NodeId t, PlanEntry e) { inbox[t].push_back(e); });
-      }
-    } else {
-      // Counter mode: per-(node, step) streams; node ids are never
-      // reused, so a joined node's streams are fresh. Draws shard across
-      // the pool into per-shard buffers, binned in shard order (ascending
-      // senders) exactly like BuildStepPlan.
-      const size_t num_shards = pool.NumShards(n);
-      std::vector<std::vector<std::pair<NodeId, PlanEntry>>> shard_out(
-          num_shards);
-      pool.ParallelFor(n, [&](size_t shard, size_t begin, size_t end) {
-        auto& out = shard_out[shard];
-        std::vector<NodeId> local_targets;
-        for (size_t idx = begin; idx < end; ++idx) {
-          const NodeId i = static_cast<NodeId>(idx);
-          const NodeState& s = node[i];
-          if (!s.alive || s.stopped || adj[i].empty()) continue;
-          Rng r = rng.StreamAt(i, step);
-          k_used[i] = DrawNodePushes(
-              adj[i], push_counts[i], gossip_.packet_loss_prob, i, r,
-              local_targets, bounces,
-              [&](NodeId t, PlanEntry e) { out.emplace_back(t, e); });
-        }
-      });
-      for (const auto& out : shard_out) {
-        for (const auto& [receiver, entry] : out) {
-          inbox[receiver].push_back(entry);
-        }
-      }
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      res.gossip_messages += k_used[i];
-      for (const PlanEntry& e : inbox[i]) {
-        if (e.sender != i) ++node[i].senders;
-      }
-    }
+    // sender order. A push bounces back to the sender when the target has
+    // stopped or departed, or the packet is lost. Node ids are never
+    // reused, so in counter mode a joined node's streams are fresh.
+    BuildStepPlan(adj, push_counts, inactive, gossip_, step, rng, rng, pool,
+                  plan);
+    res.gossip_messages += plan.pushes;
+    const auto& inbox = plan.inbox;
+    const auto& k_used = plan.k_used;
 
-    // Phase B: per-receiver accumulation (ascending-sender order — the
-    // serial engine's float order). Reads only previous-step node values;
-    // writes land in in_y/in_g until the apply pass installs them.
+    // Phase B: per-receiver accumulation (ascending-sender order, a fixed
+    // float order). Reads only previous-step node values; writes land in
+    // in_y/in_g until the apply pass installs them.
     in_y.assign(n, 0.0);
     in_g.assign(n, 0.0);
     pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
@@ -306,16 +240,8 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
         if (!s.alive || s.stopped || inbox[i].empty()) continue;
         double acc_y = 0.0, acc_g = 0.0;
         for (const PlanEntry& e : inbox[i]) {
-          const double denom = static_cast<double>(k_used[e.sender]) + 1.0;
-          const double sy = node[e.sender].y / denom;
-          const double sg = node[e.sender].g / denom;
-          double ty = sy, tg = sg;
-          for (uint32_t sh = 1; sh < e.shares; ++sh) {
-            ty += sy;
-            tg += sg;
-          }
-          acc_y += ty;
-          acc_g += tg;
+          acc_y += ShareOf(node[e.sender].y, k_used[e.sender], e.shares);
+          acc_g += ShareOf(node[e.sender].g, k_used[e.sender], e.shares);
         }
         in_y[i] = acc_y;
         in_g[i] = acc_g;
@@ -339,7 +265,7 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
         s.g = in_g[i];
         double r = s.g != 0.0 ? s.y / s.g : gossip_.ratio_sentinel;
         if (!s.converged) {
-          if (s.senders >= 1 && s.g != 0.0) {
+          if (plan.senders[i] >= 1 && s.g != 0.0) {
             s.streak =
                 std::fabs(r - s.prev_ratio) <= gossip_.xi ? s.streak + 1 : 0;
           }

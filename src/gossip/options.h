@@ -3,6 +3,7 @@
 #ifndef DGT_GOSSIP_OPTIONS_H_
 #define DGT_GOSSIP_OPTIONS_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -24,10 +25,9 @@ enum class PushStrategy {
 // which deterministic draw sequence they produce (and in whether push
 // generation itself can run sharded).
 enum class GossipRngMode {
-  // One shared generator consumed in node order during push generation —
-  // the historical serial draw sequence, bit-for-bit. Push generation is
-  // serial (it is O(sum k_i), cheap next to the merge phase); the merge
-  // phase still parallelises.
+  // One shared generator consumed in node order during push generation.
+  // Push generation is serial (it is O(sum k_i), cheap next to the merge
+  // phase); the merge phase still parallelises.
   kSequential,
   // An independent generator per (node, step) derived with Rng::StreamAt,
   // so each node's push targets are a pure function of (seed, node, step)
@@ -70,12 +70,10 @@ struct GossipOptions {
   // receiver's merge + convergence test runs sharded with a fixed
   // per-receiver reduction order. Results are bit-for-bit identical at
   // every thread count (asserted by tests/gossip/parallel_equivalence_
-  // test.cc); 1 (the default) additionally reproduces the historical
-  // serial engines exactly, and 0 means one thread per hardware core.
+  // test.cc); 0 means one thread per hardware core.
   uint32_t num_threads = 1;
 
-  // Push-phase randomness scheme; see GossipRngMode. The default
-  // reproduces the historical draw sequence.
+  // Push-phase randomness scheme; see GossipRngMode.
   GossipRngMode rng_mode = GossipRngMode::kSequential;
 
   // Record the per-step ratio of every node (Table 1 traces). Scalar
@@ -86,25 +84,37 @@ struct GossipOptions {
   double ratio_sentinel = 10.0;
 };
 
-// Outcome of a scalar push-sum run.
-struct GossipResult {
-  // Final per-node estimate y_i/g_i (sentinel where g_i == 0).
-  std::vector<double> ratios;
-  std::vector<double> values;   // final y_i
-  std::vector<double> weights;  // final g_i
-  std::vector<double> counts;   // final count channel (zero if unused)
+// What a synchronous engine is built from: the overlay (borrowed; it must
+// outlive the engine), the options, and the per-node push counts k_i they
+// imply — Graph::DifferentialPushCount under kDifferential, else 1.
+struct SyncSetup {
+  SyncSetup(const Graph* overlay, const GossipOptions& opts)
+      : graph(overlay), options(opts) {
+    assert(graph != nullptr);
+    push_counts.assign(graph->num_nodes(), 1);
+    if (options.strategy != PushStrategy::kDifferential) return;
+    for (NodeId u = 0; u < graph->num_nodes(); ++u) {
+      push_counts[u] = graph->DifferentialPushCount(u, options.k_rounding);
+    }
+  }
 
+  const Graph* graph;
+  GossipOptions options;
+  std::vector<uint32_t> push_counts;
+};
+
+// Run statistics every synchronous engine reports; the engines' result
+// types extend it with their estimates.
+struct GossipRunStats {
   uint32_t steps = 0;
   bool converged = false;
 
   // Gossip pushes actually transmitted to other nodes (lost ones included:
-  // the transmission cost is incurred before the loss is detected).
+  // the transmission cost is incurred before the loss is detected). A
+  // transmitted vector counts as one message (one network send).
   uint64_t gossip_messages = 0;
   // One-time degree announcements plus convergence announcements.
   uint64_t control_messages = 0;
-
-  // trace[m][i] = ratio of node i after step m (only if track_trace).
-  std::vector<std::vector<double>> trace;
 
   // Mean over nodes of (messages the node transmitted, gossip + control) /
   // (steps the node was active before stopping) — the Table 2 metric.
@@ -113,12 +123,28 @@ struct GossipResult {
   // xi shrinks, reproducing the paper's downward trend.
   double mean_messages_per_active_node_step = 0.0;
 
+  // Peak live nonzeros of the engine's state (sparse vector engine only;
+  // 0 for the scalar and dense engines). The large-N benches report it.
+  uint64_t peak_state_nonzeros = 0;
+
   // Aggregate alternative: (gossip + control) / (num_nodes * steps).
   double MessagesPerNodePerStep(uint32_t num_nodes) const {
     if (num_nodes == 0 || steps == 0) return 0.0;
     return static_cast<double>(gossip_messages + control_messages) /
            (static_cast<double>(num_nodes) * static_cast<double>(steps));
   }
+};
+
+// Outcome of a scalar push-sum run.
+struct GossipResult : GossipRunStats {
+  // Final per-node estimate y_i/g_i (sentinel where g_i == 0).
+  std::vector<double> ratios;
+  std::vector<double> values;   // final y_i
+  std::vector<double> weights;  // final g_i
+  std::vector<double> counts;   // final count channel (zero if unused)
+
+  // trace[m][i] = ratio of node i after step m (only if track_trace).
+  std::vector<std::vector<double>> trace;
 };
 
 }  // namespace dgt

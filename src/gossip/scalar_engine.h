@@ -12,6 +12,8 @@
 // to its neighbours once its ratio moved by <= xi in a step in which it
 // heard from somebody else (|S| > 1); it stops once itself and all its
 // neighbours have announced. The run ends when every node has stopped.
+// The step loop and that protocol are the SyncPushSum executor's
+// (sync_engine.h); this engine supplies the scalar merge and distance.
 
 #ifndef DGT_GOSSIP_SCALAR_ENGINE_H_
 #define DGT_GOSSIP_SCALAR_ENGINE_H_
@@ -29,7 +31,8 @@ class ScalarPushSum {
  public:
   // `graph` must outlive the engine. Disconnected graphs are allowed; each
   // component converges to its own aggregate.
-  ScalarPushSum(const Graph* graph, GossipOptions options);
+  ScalarPushSum(const Graph* graph, GossipOptions options)
+      : setup_(graph, options) {}
 
   // Runs to convergence (or options.max_steps). y0/g0 must have
   // num_nodes entries; c0 may be empty (count channel disabled) or
@@ -40,12 +43,12 @@ class ScalarPushSum {
                            const std::vector<double>& c0 = {});
 
   // Per-node push counts under the configured strategy.
-  const std::vector<uint32_t>& push_counts() const { return push_counts_; }
+  const std::vector<uint32_t>& push_counts() const {
+    return setup_.push_counts;
+  }
 
  private:
-  const Graph* graph_;
-  GossipOptions options_;
-  std::vector<uint32_t> push_counts_;
+  SyncSetup setup_;
 };
 
 }  // namespace dgt

@@ -22,8 +22,11 @@
 // bit-for-bit identical to VectorPushSum — same RNG draw sequence, same
 // floating-point accumulation order (contributions combine in sender
 // order per column, and absent columns contribute exact zeros to eq. (7)'s
-// L1 test), same message accounting. The dense engine is kept for
-// small-N cross-validation; see tests/gossip/sparse_vector_engine_test.cc.
+// L1 test), same message accounting (asserted by the SparseDenseEquivalence
+// sweep in tests/gossip/sparse_vector_engine_test.cc). The step loop and
+// the announce/stop protocol are the SyncPushSum executor's
+// (sync_engine.h); this engine supplies the merge, the L1 distance and
+// the ref-counted row release.
 
 #ifndef DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
 #define DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
@@ -49,11 +52,12 @@ struct SparseVectorRow {
   size_t nnz() const { return cols.size(); }
 };
 
-struct SparseVectorGossipResult {
+struct SparseVectorGossipResult : GossipRunStats {
   // Per node: sorted columns where gossip weight arrived (g != 0), with
   // the final ratio y/g and count ratio c/g. Columns absent from a row
   // are at options.ratio_sentinel (no weight reached the node), exactly
-  // like the dense engine's estimates.
+  // like the dense engine's estimates. peak_state_nonzeros (the engine's
+  // actual working-set size) is reported by the large-N benches.
   struct Row {
     std::vector<uint32_t> cols;
     std::vector<double> estimates;
@@ -61,45 +65,35 @@ struct SparseVectorGossipResult {
   };
   std::vector<Row> rows;
 
-  uint32_t steps = 0;
-  bool converged = false;
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  // See GossipResult::mean_messages_per_active_node_step.
-  double mean_messages_per_active_node_step = 0.0;
-  // Peak sum of per-row nonzeros across all steps — the engine's actual
-  // working-set size (reported by the large-N benches).
-  uint64_t peak_state_nonzeros = 0;
-
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
-
   // Densified estimates (sentinel where no weight arrived) — for small-N
   // cross-validation against VectorPushSum; O(rows * N) memory.
   std::vector<std::vector<double>> DenseEstimates(double sentinel) const;
   std::vector<std::vector<double>> DenseCountEstimates(double sentinel) const;
 };
 
+// The input contract shared by the synchronous and the event-driven sparse
+// engines: exactly `num_nodes` rows, each with strictly increasing cols in
+// [0, num_nodes), y/g parallel to cols, c parallel when `use_count` and
+// empty otherwise, and no negative gossip weight.
+Status ValidateSparseRows(const std::vector<SparseVectorRow>& rows,
+                          uint32_t num_nodes, bool use_count);
+
 class SparseVectorPushSum {
  public:
-  SparseVectorPushSum(const Graph* graph, GossipOptions options);
+  SparseVectorPushSum(const Graph* graph, GossipOptions options)
+      : setup_(graph, options) {}
 
-  // `init` holds one row per node (exactly num_nodes rows). Each row's
-  // cols must be strictly increasing and in [0, num_nodes); y/g must be
-  // parallel to cols, and c must be parallel when `use_count` is true and
-  // empty otherwise. Fails with InvalidArgument on any violation.
+  // `init` holds one row per node. Fails with InvalidArgument unless it
+  // meets ValidateSparseRows.
   Result<SparseVectorGossipResult> Run(std::vector<SparseVectorRow> init,
                                        bool use_count);
 
-  const std::vector<uint32_t>& push_counts() const { return push_counts_; }
+  const std::vector<uint32_t>& push_counts() const {
+    return setup_.push_counts;
+  }
 
  private:
-  const Graph* graph_;
-  GossipOptions options_;
-  std::vector<uint32_t> push_counts_;
+  SyncSetup setup_;
 };
 
 }  // namespace dgt

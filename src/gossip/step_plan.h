@@ -1,5 +1,6 @@
-// Phase A of the two-phase deterministic gossip step shared by the
-// synchronous engines (scalar, dense vector, sparse vector).
+// Phase A of the two-phase deterministic gossip step, shared by every
+// synchronous gossip loop: the SyncPushSum executor (scalar, dense and
+// sparse engines), the churn engine and the potential tracker.
 //
 // A synchronous push-sum step factors cleanly into
 //   (A) push generation — every active node draws its k_i targets and the
@@ -10,9 +11,9 @@
 // Phase B is embarrassingly parallel across receivers once the lists
 // exist, PROVIDED each list is reduced in a fixed order. BuildStepPlan
 // emits every receiver's list in ascending-sender order with the
-// receiver's own kept share sitting at its own sender slot — exactly the
-// accumulation order of the historical serial engines — so the merge is
-// bit-for-bit identical to the serial run at any thread count.
+// receiver's own kept share sitting at its own sender slot — the
+// accumulation order of a one-thread merge — so the merge is bit-for-bit
+// identical at any thread count.
 //
 // `shares` counts how many (1/(k+1))-shares of the sender's state the
 // entry carries: 1 for a delivered push, and 1 + number of bounced pushes
@@ -37,43 +38,14 @@ struct PlanEntry {
   uint32_t shares;
 };
 
-// Draws node i's pushes for one step and emits them as
-// (receiver, PlanEntry) pairs — delivered shares first (in target draw
-// order), then the kept-self entry. The draw order (targets first, then
-// one loss trial per transmitted push, short-circuited to zero draws when
-// loss_prob == 0) is the historical serial engines' exact RNG consumption
-// order; EVERY engine must draw through this helper so the sequence stays
-// uniform across engines (the churn engine supplies its own bounce
-// predicate over its dynamic membership). Returns k, the number of pushes
-// transmitted. Precondition: nbrs is non-empty.
-template <typename BouncePred, typename Emit>
-uint32_t DrawNodePushes(const std::vector<NodeId>& nbrs, uint32_t push_count,
-                        double loss_prob, NodeId i, Rng& rng,
-                        std::vector<NodeId>& targets,
-                        BouncePred&& target_bounces, Emit&& emit) {
-  const uint32_t deg = static_cast<uint32_t>(nbrs.size());
-  const uint32_t k = std::min(push_count, deg);
-  targets.clear();
-  if (k == 1) {
-    targets.push_back(nbrs[rng.NextBelow(deg)]);
-  } else {
-    for (uint32_t idx : rng.SampleWithoutReplacement(deg, k)) {
-      targets.push_back(nbrs[idx]);
-    }
-  }
-  uint32_t self_shares = 1;
-  for (NodeId t : targets) {
-    // A bounced or lost push returns its share to the sender (mass
-    // conservation; the sender does not bleed mass into a frozen sink).
-    if (target_bounces(t) ||
-        (loss_prob > 0.0 && rng.NextBernoulli(loss_prob))) {
-      ++self_shares;
-      continue;
-    }
-    emit(t, PlanEntry{i, 1});
-  }
-  emit(i, PlanEntry{i, self_shares});
-  return k;
+// What a plan entry delivers of one scalar channel whose sender value is
+// `value` and who pushed `k_used` times: `shares` shares of value /
+// (k_used + 1), accumulated as repeated adds (not a multiply).
+inline double ShareOf(double value, uint32_t k_used, uint32_t shares) {
+  const double share = value / (static_cast<double>(k_used) + 1.0);
+  double total = share;
+  for (uint32_t s = 1; s < shares; ++s) total += share;
+  return total;
 }
 
 struct StepPlan {
@@ -92,14 +64,19 @@ struct StepPlan {
   void Reset(uint32_t num_nodes);
 };
 
-// Draws one step's push targets and loss outcomes for every non-stopped
-// node and bins the deliveries per receiver. kSequential consumes
-// `shared_rng` in node order (the historical serial sequence); kCounter
-// derives a per-(node, step) generator from `stream_root` via StreamAt and
-// shards the generation across `pool`. Both are thread-count invariant.
-void BuildStepPlan(const Graph& graph, const GossipOptions& options,
+// The one push-draw planner. Draws one step's push targets and loss
+// outcomes for every node that is neither `inactive` nor without
+// neighbours, and bins the deliveries per receiver; a push to an inactive
+// target bounces back to its sender. Per node the draw order is targets
+// first (one NextBelow when k == 1, else SampleWithoutReplacement), then
+// one loss trial per transmitted push (none when packet_loss_prob == 0).
+// kSequential consumes `shared_rng` in node order; kCounter derives a
+// per-(node, step) generator from `stream_root` via StreamAt and shards
+// the generation across `pool`. Both are thread-count invariant.
+void BuildStepPlan(const std::vector<std::vector<NodeId>>& adjacency,
                    const std::vector<uint32_t>& push_counts,
-                   const std::vector<uint8_t>& stopped, uint32_t step,
+                   const std::vector<uint8_t>& inactive,
+                   const GossipOptions& options, uint32_t step,
                    Rng& shared_rng, const Rng& stream_root, ThreadPool& pool,
                    StepPlan& plan);
 

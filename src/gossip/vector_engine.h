@@ -8,8 +8,11 @@
 //
 // Convergence uses the paper's eq. (7): node i declares convergence when
 //   sum_j |ratio_ij(n) - ratio_ij(n-1)| <= N * xi
-// in a step where it heard from at least one other node, followed by the
-// same announce/stop protocol as the scalar engine.
+// in a step where it heard from at least one other node. The step loop
+// and the announce/stop protocol are the SyncPushSum executor's
+// (sync_engine.h); this engine supplies the dense row merge and the L1
+// distance. SparseVectorPushSum is the production vector engine; this one
+// serves GossipTrust and small-N cross-validation.
 
 #ifndef DGT_GOSSIP_VECTOR_ENGINE_H_
 #define DGT_GOSSIP_VECTOR_ENGINE_H_
@@ -23,7 +26,7 @@
 
 namespace dgt {
 
-struct VectorGossipResult {
+struct VectorGossipResult : GossipRunStats {
   // estimates[i][j]: node i's final ratio y_ij/g_ij for target j
   // (options.ratio_sentinel where g_ij == 0).
   std::vector<std::vector<double>> estimates;
@@ -32,27 +35,12 @@ struct VectorGossipResult {
   // Like estimates, holds options.ratio_sentinel where g_ij == 0; the
   // aggregation layer maps the sentinel to "no information".
   std::vector<std::vector<double>> count_estimates;
-
-  uint32_t steps = 0;
-  bool converged = false;
-  // A transmitted vector counts as one message (one network send); see
-  // GossipResult for the message taxonomy.
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  // Mean over nodes of transmitted messages per own active step (see
-  // GossipResult::mean_messages_per_active_node_step).
-  double mean_messages_per_active_node_step = 0.0;
-
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
 };
 
 class VectorPushSum {
  public:
-  VectorPushSum(const Graph* graph, GossipOptions options);
+  VectorPushSum(const Graph* graph, GossipOptions options)
+      : setup_(graph, options) {}
 
   // y0/g0 (and c0 if nonempty) are N x N row-major matrices: row i is node
   // i's initial vector. Fails with InvalidArgument on dimension mismatch.
@@ -61,12 +49,12 @@ class VectorPushSum {
                                  const std::vector<std::vector<double>>& c0 =
                                      {});
 
-  const std::vector<uint32_t>& push_counts() const { return push_counts_; }
+  const std::vector<uint32_t>& push_counts() const {
+    return setup_.push_counts;
+  }
 
  private:
-  const Graph* graph_;
-  GossipOptions options_;
-  std::vector<uint32_t> push_counts_;
+  SyncSetup setup_;
 };
 
 }  // namespace dgt

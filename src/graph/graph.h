@@ -52,6 +52,9 @@ class Graph {
   // Neighbours of u, in insertion order.
   const std::vector<NodeId>& Neighbors(NodeId u) const { return adj_[u]; }
 
+  // Every node's neighbour list (adjacency()[u] == Neighbors(u)).
+  const std::vector<std::vector<NodeId>>& adjacency() const { return adj_; }
+
   // Mean degree over the neighbours of u; 0 for isolated nodes.
   double AverageNeighborDegree(NodeId u) const;
 
@@ -72,6 +75,11 @@ class Graph {
   std::vector<std::vector<NodeId>> adj_;
   uint64_t num_edges_ = 0;
 };
+
+// Graph::DifferentialPushCount over a bare adjacency list, for overlays
+// that change while gossip runs (the churn engine).
+uint32_t DifferentialPushCount(const std::vector<std::vector<NodeId>>& adj,
+                               NodeId u, KRounding rounding);
 
 }  // namespace dgt
 

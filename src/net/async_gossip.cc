@@ -6,38 +6,6 @@
 
 namespace dgt {
 
-namespace {
-
-Status ValidateSparseInit(uint32_t n, const std::vector<SparseVectorRow>& init,
-                          bool use_count) {
-  if (init.size() != n) {
-    return Status::InvalidArgument("init must have num_nodes rows");
-  }
-  for (const SparseVectorRow& row : init) {
-    if (row.y.size() != row.cols.size() || row.g.size() != row.cols.size()) {
-      return Status::InvalidArgument("row channels must parallel cols");
-    }
-    if (use_count ? row.c.size() != row.cols.size() : !row.c.empty()) {
-      return Status::InvalidArgument(
-          "count channel must parallel cols iff use_count");
-    }
-    for (size_t j = 0; j < row.cols.size(); ++j) {
-      if (row.cols[j] >= n) {
-        return Status::InvalidArgument("row column out of range");
-      }
-      if (j > 0 && row.cols[j] <= row.cols[j - 1]) {
-        return Status::InvalidArgument("row cols must be strictly increasing");
-      }
-      if (row.g[j] < 0.0) {
-        return Status::InvalidArgument("gossip weights must be >= 0");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 // --- Scalar ------------------------------------------------------------
 
 AsyncPushSum::AsyncPushSum(const Graph* graph, AsyncGossipOptions options)
@@ -133,8 +101,7 @@ AsyncSparsePushSum::AsyncSparsePushSum(const Graph* graph,
 Result<AsyncSparseGossipResult> AsyncSparsePushSum::Run(
     std::vector<SparseVectorRow> init, bool use_count) {
   const uint32_t n = graph_->num_nodes();
-  Status st = ValidateSparseInit(n, init, use_count);
-  if (!st.ok()) return st;
+  DGT_RETURN_IF_ERROR(ValidateSparseRows(init, n, use_count));
 
   AsyncEventEngine<SparseVectorGossipPolicy> engine(graph_, options_);
   DGT_ASSIGN_OR_RETURN(auto out, engine.Run(std::move(init)));

@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "gossip/scalar_engine.h"
 #include "gossip/sparse_vector_engine.h"
-#include "gossip/vector_engine.h"
 
 namespace dgt {
 
@@ -26,25 +25,8 @@ Status ValidateInputs(const Graph& graph, const TrustMatrix& trust) {
   return Status::OK();
 }
 
-GossipRunStats StatsFromScalar(const GossipResult& r) {
-  return {r.steps, r.converged, r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step};
-}
-
-GossipRunStats StatsFromVector(const VectorGossipResult& r) {
-  return {r.steps, r.converged, r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step};
-}
-
-GossipRunStats StatsFromSparse(const SparseVectorGossipResult& r) {
-  return {r.steps,           r.converged,
-          r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step, r.peak_state_nonzeros};
-}
-
 // All trust rows as sorted (column, t) pairs — the deterministic sparse
-// iteration both vector engines' seeding and the yhat accumulation use,
-// so the two engine paths are float-for-float identical.
+// iteration the yhat accumulation uses.
 std::vector<std::vector<std::pair<NodeId, double>>> AllSortedRows(
     const TrustMatrix& trust) {
   std::vector<std::vector<std::pair<NodeId, double>>> rows;
@@ -53,20 +35,6 @@ std::vector<std::vector<std::pair<NodeId, double>>> AllSortedRows(
     rows.push_back(trust.SortedRow(i));
   }
   return rows;
-}
-
-// yhat_row[j] for observer i (see BuildNeighborhoodWeighting), accumulated
-// sparsely over the rated nodes' opinion rows in ascending node order:
-// O(|rated_i| * |row|) per observer, engine-independent.
-void FillYhatRow(
-    const std::vector<std::vector<std::pair<NodeId, double>>>& sorted_rows,
-    const WeightTable& table, std::vector<double>* yhat_row) {
-  std::fill(yhat_row->begin(), yhat_row->end(), 0.0);
-  for (const auto& [k, w] : table.SortedEntries()) {
-    const double excess = w - 1.0;
-    if (excess == 0.0) continue;
-    for (const auto& [j, t] : sorted_rows[k]) (*yhat_row)[j] += excess * t;
-  }
 }
 
 // yhat_I(j) = sum over I's neighbours k of (w_Ik - 1) * t_kj, and the
@@ -113,6 +81,49 @@ Result<std::vector<WeightTable>> BuildAllWeightTables(
   return tables;
 }
 
+// Variant 4's observer post-processing, shared by the synchronous and the
+// event-driven path: out[i][j] = (yhat_i(j) + est) / (excess_den_i +
+// count_est) for every (j, est, count channel) that `for_each_entry(i,
+// emit)` emits for observer i; all other entries stay 0. yhat_i sums the
+// rated nodes' sorted opinion rows in ascending node order (the observer's
+// interaction set; everyone else has weight exactly 1): O(|rated_i| *
+// |row|). Observers are independent, so they shard across a pool built
+// here, after the engine's own pool is gone; each writes only its row.
+template <typename ForEachEntry>
+Result<std::vector<std::vector<double>>> AssembleGclr(
+    const TrustMatrix& trust, const WeightParams& weights,
+    DenominatorMode denominator, uint32_t num_threads,
+    ForEachEntry&& for_each_entry) {
+  const uint32_t n = trust.num_nodes();
+  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
+                       BuildAllWeightTables(trust, weights));
+  const auto sorted_rows = AllSortedRows(trust);
+  std::vector<std::vector<double>> out(n, std::vector<double>(n, 0.0));
+  ThreadPool pool(num_threads);
+  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
+    std::vector<double> yhat_row(n);
+    for (size_t idx = begin; idx < end; ++idx) {
+      const NodeId i = static_cast<NodeId>(idx);
+      std::fill(yhat_row.begin(), yhat_row.end(), 0.0);
+      for (const auto& [k, w] : tables[i].SortedEntries()) {
+        const double excess = w - 1.0;
+        if (excess == 0.0) continue;
+        for (const auto& [j, t] : sorted_rows[k]) yhat_row[j] += excess * t;
+      }
+      const double excess_den = tables[i].TotalExcessWeight();
+      for_each_entry(i, [&](NodeId j, double est, double count_channel) {
+        const double count_est = denominator == DenominatorMode::kAllNodes
+                                     ? static_cast<double>(n)
+                                     : count_channel;
+        const double den = excess_den + count_est;
+        if (den <= 0.0) return;
+        out[i][j] = (yhat_row[j] + est) / den;
+      });
+    }
+  });
+  return out;
+}
+
 }  // namespace
 
 Result<SingleAggregationResult> AggregateGlobalSingle(
@@ -136,7 +147,7 @@ Result<SingleAggregationResult> AggregateGlobalSingle(
   for (NodeId i = 0; i < graph.num_nodes(); ++i) {
     if (run.weights[i] == 0.0) out.estimates[i] = 0.0;
   }
-  out.stats = StatsFromScalar(run);
+  out.stats = static_cast<const GossipRunStats&>(run);
   return out;
 }
 
@@ -179,7 +190,7 @@ Result<SingleAggregationResult> AggregateGclrSingle(
     if (denominator <= 0.0) continue;
     out.estimates[i] = (nw.yhat[i] + sum_est) / denominator;
   }
-  out.stats = StatsFromScalar(run);
+  out.stats = static_cast<const GossipRunStats&>(run);
   // Pre-round neighbour feedback pushes: each opinator sends its direct
   // feedback about j to all its neighbours.
   for (NodeId i = 0; i < n; ++i) {
@@ -194,28 +205,6 @@ Result<VectorAggregationResult> AggregateGlobalVector(
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
   const uint32_t n = graph.num_nodes();
   VectorAggregationResult out;
-
-  if (options.engine == VectorGossipEngine::kDense) {
-    std::vector<std::vector<double>> y0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> g0(n, std::vector<double>(n, 0.0));
-    for (NodeId i = 0; i < n; ++i) {
-      for (const auto& [j, t] : trust.Row(i)) {
-        y0[i][j] = t;
-        g0[i][j] = 1.0;
-      }
-    }
-    VectorPushSum engine(&graph, options.gossip);
-    DGT_ASSIGN_OR_RETURN(VectorGossipResult run, engine.Run(y0, g0));
-    out.estimates = std::move(run.estimates);
-    // Sentinel entries (no weight received) -> 0.
-    for (auto& row : out.estimates) {
-      for (auto& v : row) {
-        if (v == options.gossip.ratio_sentinel) v = 0.0;
-      }
-    }
-    out.stats = StatsFromVector(run);
-    return out;
-  }
 
   std::vector<SparseVectorRow> init(n);
   for (NodeId i = 0; i < n; ++i) {
@@ -236,12 +225,12 @@ Result<VectorAggregationResult> AggregateGlobalVector(
   for (NodeId i = 0; i < n; ++i) {
     const auto& row = run.rows[i];
     for (size_t k = 0; k < row.cols.size(); ++k) {
-      // Mirror the dense path's sentinel -> 0 mapping exactly.
+      // Sentinel entries (no weight received) stay 0.
       if (row.estimates[k] == options.gossip.ratio_sentinel) continue;
       out.estimates[i][row.cols[k]] = row.estimates[k];
     }
   }
-  out.stats = StatsFromSparse(run);
+  out.stats = static_cast<const GossipRunStats&>(run);
   return out;
 }
 
@@ -286,45 +275,25 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
     const Graph& graph, const TrustMatrix& trust,
     const AsyncAggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
-  const uint32_t n = graph.num_nodes();
-
-  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
-                       BuildAllWeightTables(trust, options.weights));
-  const auto sorted_rows = AllSortedRows(trust);
-
-  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
   AsyncSparsePushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(AsyncSparseGossipResult run,
-                       engine.Run(std::move(init), /*use_count=*/true));
+  DGT_ASSIGN_OR_RETURN(
+      AsyncSparseGossipResult run,
+      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
 
   AsyncVectorAggregationResult out;
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
-  // Observer post-processing mirrors the synchronous sparse path: yhat
-  // accumulation plus output assembly per observer, sharded across a
-  // pool constructed only after the engine's own pool is gone. The
-  // engine returns raw rows (y/g/c), so the estimate and count ratio are
-  // formed here; columns without gossip weight stay at 0.
-  ThreadPool pool(options.gossip.num_threads);
-  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-    std::vector<double> yhat_row(n);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId i = static_cast<NodeId>(idx);
-      FillYhatRow(sorted_rows, tables[i], &yhat_row);
-      const double excess_den = tables[i].TotalExcessWeight();
-      const SparseVectorRow& row = run.rows[i];
-      for (size_t k = 0; k < row.cols.size(); ++k) {
-        if (row.g[k] == 0.0) continue;  // no gossip weight reached i
-        const NodeId j = row.cols[k];
-        double est = row.y[k] / row.g[k];
-        double count_est = options.denominator == DenominatorMode::kAllNodes
-                               ? static_cast<double>(n)
-                               : row.c[k] / row.g[k];
-        double denominator = excess_den + count_est;
-        if (denominator <= 0.0) continue;
-        out.estimates[i][j] = (yhat_row[j] + est) / denominator;
-      }
-    }
-  });
+  // The engine returns raw rows (y/g/c), so the estimate and count ratio
+  // are formed here; columns without gossip weight stay at 0.
+  DGT_ASSIGN_OR_RETURN(
+      out.estimates,
+      AssembleGclr(trust, options.weights, options.denominator,
+                   options.gossip.num_threads, [&](NodeId i, auto&& emit) {
+                     const SparseVectorRow& row = run.rows[i];
+                     for (size_t k = 0; k < row.cols.size(); ++k) {
+                       if (row.g[k] == 0.0) continue;
+                       emit(row.cols[k], row.y[k] / row.g[k],
+                            row.c[k] / row.g[k]);
+                     }
+                   }));
   out.stats = run.stats;
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
@@ -335,90 +304,24 @@ Result<VectorAggregationResult> AggregateGclrVector(
     const Graph& graph, const TrustMatrix& trust,
     const AggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
-  const uint32_t n = graph.num_nodes();
-
-  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
-                       BuildAllWeightTables(trust, options.weights));
-  const auto sorted_rows = AllSortedRows(trust);
+  SparseVectorPushSum engine(&graph, options.gossip);
+  DGT_ASSIGN_OR_RETURN(
+      SparseVectorGossipResult run,
+      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
 
   VectorAggregationResult out;
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
-  // Observer i's output for target j from the gossiped (est, count_est).
-  // yhat_j is yhat_row[j] for observer i, accumulated sparsely over the
-  // rated nodes' opinion rows (the observer's interaction set; everyone
-  // else has weight exactly 1): O(sum_i |rated_i| * |row|).
-  auto assemble = [&](NodeId i, NodeId j, double yhat_j, double excess_den,
-                      double est, double count_channel) {
-    double count_est = options.denominator == DenominatorMode::kAllNodes
-                           ? static_cast<double>(n)
-                           : count_channel;
-    double denominator = excess_den + count_est;
-    if (denominator <= 0.0) return;
-    out.estimates[i][j] = (yhat_j + est) / denominator;
-  };
-
-  if (options.engine == VectorGossipEngine::kDense) {
-    std::vector<std::vector<double>> y0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> g0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> c0(n, std::vector<double>(n, 0.0));
-    for (NodeId i = 0; i < n; ++i) {
-      for (const auto& [j, t] : trust.Row(i)) {
-        y0[i][j] = t;
-        c0[i][j] = 1.0;
-      }
-      // For target j, node j itself holds the one-hot gossip weight.
-      g0[i][i] = 1.0;
-    }
-    VectorPushSum engine(&graph, options.gossip);
-    DGT_ASSIGN_OR_RETURN(VectorGossipResult run, engine.Run(y0, g0, c0));
-    // Observer post-processing (yhat accumulation + output assembly) is
-    // independent per observer, so it shards across its own pool; each
-    // observer writes only its own output row. Constructed only after
-    // the engine (and its pool) has finished.
-    ThreadPool pool(options.gossip.num_threads);
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      std::vector<double> yhat_row(n);
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        FillYhatRow(sorted_rows, tables[i], &yhat_row);
-        const double excess_den = tables[i].TotalExcessWeight();
-        for (NodeId j = 0; j < n; ++j) {
-          double est = run.estimates[i][j];
-          if (est == options.gossip.ratio_sentinel) continue;
-          assemble(i, j, yhat_row[j], excess_den, est,
-                   run.count_estimates[i][j]);
-        }
-      }
-    });
-    out.stats = StatsFromVector(run);
-    // Pre-round feedback vectors: one per edge direction.
-    out.stats.control_messages += graph.DegreeSum();
-    return out;
-  }
-
-  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
-  SparseVectorPushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
-                       engine.Run(std::move(init), /*use_count=*/true));
-  // See the dense branch: the post-processing pool lives only after the
-  // engine's own pool is gone.
-  ThreadPool pool(options.gossip.num_threads);
-  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-    std::vector<double> yhat_row(n);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId i = static_cast<NodeId>(idx);
-      FillYhatRow(sorted_rows, tables[i], &yhat_row);
-      const double excess_den = tables[i].TotalExcessWeight();
-      const auto& row = run.rows[i];
-      for (size_t k = 0; k < row.cols.size(); ++k) {
-        double est = row.estimates[k];
-        if (est == options.gossip.ratio_sentinel) continue;
-        assemble(i, row.cols[k], yhat_row[row.cols[k]], excess_den, est,
-                 row.count_estimates[k]);
-      }
-    }
-  });
-  out.stats = StatsFromSparse(run);
+  DGT_ASSIGN_OR_RETURN(
+      out.estimates,
+      AssembleGclr(trust, options.weights, options.denominator,
+                   options.gossip.num_threads, [&](NodeId i, auto&& emit) {
+                     const auto& row = run.rows[i];
+                     for (size_t k = 0; k < row.cols.size(); ++k) {
+                       const double est = row.estimates[k];
+                       if (est == options.gossip.ratio_sentinel) continue;
+                       emit(row.cols[k], est, row.count_estimates[k]);
+                     }
+                   }));
+  out.stats = static_cast<const GossipRunStats&>(run);
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
   return out;
