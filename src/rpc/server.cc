@@ -99,19 +99,24 @@ void RpcServer::Stop() {
   listen_fd_.ShutdownBothEnds();
   {
     MutexLock lock(conns_mu_);
-    for (auto& conn : connections_) {
+    for (auto& [conn, reader] : readers_) {
       conn->open.store(false, std::memory_order_relaxed);
       conn->fd.ShutdownBothEnds();
     }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  // No reader is added once the accept thread is gone. Every reader
+  // thread is now either here or in some ending reader's own join list,
+  // never both, so each is joined exactly once.
+  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
+  std::vector<std::thread> readers;
   {
     MutexLock lock(conns_mu_);
-    for (auto& t : reader_threads_) {
-      if (t.joinable()) t.join();
-    }
-    reader_threads_.clear();
+    readers.swap(finished_readers_);
+    for (auto& [conn, reader] : readers_) readers.push_back(std::move(reader));
+    readers_.clear();
   }
+  for (auto& t : readers) t.join();
   // Already-accepted requests drain before the workers exit (their
   // replies fail harmlessly on the shut-down sockets).
   queue_.Close();
@@ -120,10 +125,6 @@ void RpcServer::Stop() {
     if (t.joinable()) t.join();
   }
   workers_.clear();
-  {
-    MutexLock lock(conns_mu_);
-    connections_.clear();
-  }
   // The gauges sample queue_; unhook them before this object can die.
   metrics_->RemoveCallbackGauge("rpc_queue_depth", queue_depth_token_);
   metrics_->RemoveCallbackGauge("rpc_queue_peak_depth", queue_peak_token_);
@@ -150,9 +151,8 @@ void RpcServer::AcceptLoop() {
     connections_counter_->Increment();
     MutexLock lock(conns_mu_);
     if (stopping_.load()) return;  // raced Stop(); drop the connection
-    connections_.push_back(conn);
     // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
-    reader_threads_.emplace_back([this, conn] { ReaderLoop(conn); });
+    readers_.emplace(conn, std::thread([this, conn] { ReaderLoop(conn); }));
   }
 }
 
@@ -223,6 +223,19 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   }
   conn->open.store(false, std::memory_order_relaxed);
   conn->fd.ShutdownBothEnds();
+  // Release the connection (its fd closes once in-flight requests drop
+  // their references) and join the readers that ended before this one.
+  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
+  std::vector<std::thread> ended;
+  {
+    MutexLock lock(conns_mu_);
+    auto it = readers_.find(conn);
+    if (it == readers_.end()) return;  // Stop() took over the join
+    ended.swap(finished_readers_);
+    finished_readers_.push_back(std::move(it->second));
+    readers_.erase(it);
+  }
+  for (auto& t : ended) t.join();
 }
 
 void RpcServer::WorkerLoop() {

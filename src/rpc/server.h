@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mpsc_queue.h"
@@ -167,7 +168,7 @@ class RpcServer {
   };
 
   void AcceptLoop() DGT_EXCLUDES(conns_mu_);
-  void ReaderLoop(std::shared_ptr<Connection> conn);
+  void ReaderLoop(std::shared_ptr<Connection> conn) DGT_EXCLUDES(conns_mu_);
   void WorkerLoop() DGT_EXCLUDES(hold_mu_);
   // Times DispatchRequest into the per-op service-latency histogram.
   void ProcessRequest(const Request& req,
@@ -213,9 +214,14 @@ class RpcServer {
   BoundedWorkQueue<Request> queue_;
 
   Mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> connections_
+  // Live connections, each with its reader thread. A reader that ends
+  // removes its own entry (releasing the server's hold on the fd) and
+  // parks its thread in finished_readers_; the next reader to end joins
+  // it, so at most one finished reader awaits its join. Stop() joins the
+  // rest.
+  std::unordered_map<std::shared_ptr<Connection>, std::thread> readers_  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
       DGT_GUARDED_BY(conns_mu_);
-  std::vector<std::thread> reader_threads_  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
+  std::vector<std::thread> finished_readers_  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
       DGT_GUARDED_BY(conns_mu_);
 
   Mutex hold_mu_;
